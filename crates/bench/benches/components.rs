@@ -3,7 +3,7 @@
 //! prediction, and the trace codec.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use jcdn_cdnsim::cache::LruCache;
+use jcdn_cdnsim::cache::PolicyCache;
 use jcdn_cdnsim::{run_default, FaultPlan, OriginOutage, SimConfig, Window};
 use jcdn_ngram::NgramModel;
 use jcdn_signal::acf::Autocorrelation;
@@ -49,7 +49,7 @@ fn bench_acf_and_periodogram(c: &mut Criterion) {
 fn bench_lru(c: &mut Criterion) {
     c.bench_function("lru_mixed_ops_10k", |b| {
         b.iter(|| {
-            let mut cache: LruCache<u32> = LruCache::new(64 * 1024);
+            let mut cache: PolicyCache<u32> = PolicyCache::new(64 * 1024);
             let ttl = SimDuration::from_secs(3600);
             for i in 0u32..10_000 {
                 let key = i * 2654435761 % 1024;

@@ -68,10 +68,9 @@ fn main() -> ExitCode {
     let generate_us = generate.elapsed_us().max(1);
     let records = data.trace.len() as u64;
 
-    // Partitioning (a canonical sort of the full trace) is timed apart
-    // from the codec: earlier baselines folded it into
-    // `codec_roundtrip_us`, which hid ~1s of sort time inside the codec
-    // number on this workload.
+    // Partitioning (a sort of the already time-ordered trace, then one
+    // copy into exact-size shards) is timed apart from the codec: earlier
+    // baselines folded it into `codec_roundtrip_us`.
     let shard_clock = Stopwatch::start();
     let sharded = ShardedTrace::from_trace(data.trace, shards);
     let shard_us = shard_clock.elapsed_us().max(1);

@@ -18,6 +18,7 @@ use std::process::ExitCode;
 use jcdn_cdnsim::cache::PolicyCache;
 use jcdn_cdnsim::PolicyKind;
 use jcdn_obs::clock::Stopwatch;
+use jcdn_obs::hash::{mix64, splitmix64, GOLDEN_GAMMA};
 use jcdn_obs::json::ObjectWriter;
 use jcdn_obs::manifest::peak_rss_kb;
 use jcdn_trace::{SimDuration, SimTime};
@@ -165,7 +166,7 @@ fn zipf_trace(ops: usize, objects: usize, alpha: f64, seed: u64) -> Vec<Access> 
         ids.swap(i, j);
     }
     let size_of = |id: u32| {
-        let h = hash64(u64::from(id) ^ seed);
+        let h = mix64(u64::from(id) ^ seed);
         match h % 100 {
             0..=69 => 500 + h % 3_500,     // ~70%: small JSON-ish
             70..=94 => 8_000 + h % 56_000, // ~25%: pages/scripts
@@ -186,15 +187,11 @@ fn zipf_trace(ops: usize, objects: usize, alpha: f64, seed: u64) -> Vec<Access> 
         .collect()
 }
 
+/// Draws the next SplitMix64 output and advances `state`.
 fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    hash64(*state)
-}
-
-fn hash64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    let out = splitmix64(*state);
+    *state = state.wrapping_add(GOLDEN_GAMMA);
+    out
 }
 
 fn to_f64(bits: u64) -> f64 {

@@ -7,7 +7,8 @@
 //! from the paper (our substrate is a simulator; see DESIGN.md §2).
 
 use jcdn_cdnsim::{
-    run_default, FaultPlan, OriginOutage, ResilienceConfig, SimConfig, SimDuration, Window,
+    run_default, CacheHierarchy, FaultPlan, OriginOutage, ResilienceConfig, SimConfig, SimDuration,
+    Window,
 };
 use jcdn_core::characterize::{
     json_html_ratio, CacheabilityHeatmap, RequestTypeBreakdown, ResponseTypeBreakdown,
@@ -807,7 +808,10 @@ pub fn abl_parent_tier(ctx: &Context) -> ExperimentResult {
     let tiered = run_default(
         workload,
         &SimConfig {
-            parent_cache: Some(1 << 30),
+            hierarchy: Some(CacheHierarchy::with_parent(
+                SimConfig::default().cache_capacity,
+                1 << 30,
+            )),
             ..SimConfig::default()
         },
     )
@@ -828,7 +832,7 @@ pub fn abl_parent_tier(ctx: &Context) -> ExperimentResult {
         "edges + parent".into(),
         pct(tiered.cacheable_hit_ratio().unwrap_or(0.0)),
         tiered.origin_fetches.to_string(),
-        tiered.parent_hits().to_string(),
+        tiered.tier_hits[0].to_string(),
     ]);
     let offload = 1.0 - tiered.origin_fetches as f64 / flat.origin_fetches.max(1) as f64;
     let mut rendered = table.render();
@@ -844,7 +848,7 @@ origin offload from the parent tier: {}",
         checks: vec![
             (
                 "parent tier absorbs cross-edge misses".into(),
-                tiered.parent_hits() > 0,
+                tiered.tier_hits[0] > 0,
             ),
             (
                 "origin load drops".into(),

@@ -21,6 +21,7 @@
 //! per-edge deterministic state, the post-flush tier contents are a pure
 //! function of (workload, config) — byte-identical at any shard count.
 
+use jcdn_obs::hash::splitmix64;
 use jcdn_trace::{SimDuration, SimTime};
 
 use crate::cache::PolicyCache;
@@ -76,8 +77,7 @@ impl TierSpec {
 pub enum Placement {
     /// Leave-copy-everywhere: an origin fetch populates the edge and every
     /// shared tier; a tier hit populates the edge and every tier closer
-    /// than the serving one. This is the classic CDN behavior and matches
-    /// the old `parent_cache` semantics.
+    /// than the serving one. This is the classic CDN behavior.
     #[default]
     CopyEverywhere,
     /// Leave-copy-down: an origin fetch populates only the deepest shared
@@ -140,8 +140,8 @@ impl CacheHierarchy {
         }
     }
 
-    /// The compat shape of the old `parent_cache` option: per-edge LRU
-    /// plus one shared LRU parent, leave-copy-everywhere.
+    /// The classic two-level shape: per-edge LRU plus one shared LRU
+    /// parent, leave-copy-everywhere.
     pub fn with_parent(edge_capacity: u64, parent_capacity: u64) -> CacheHierarchy {
         CacheHierarchy {
             edge: TierSpec::lru("edge", edge_capacity),
@@ -207,19 +207,12 @@ impl SharedTier {
                     spec.policy,
                     // Tier policy streams must differ from each other and
                     // from every edge's stream.
-                    splitmix(seed ^ 0x7C15_7C15_7C15_7C15 ^ (t as u64 + 1)),
+                    splitmix64(seed ^ 0x7C15_7C15_7C15_7C15 ^ (t as u64 + 1)),
                 ),
                 ttl_cap: spec.ttl_cap,
             })
             .collect()
     }
-}
-
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// What a logged access does to a shared tier at flush time.

@@ -19,6 +19,8 @@
 
 use std::collections::{HashMap, VecDeque};
 
+use jcdn_obs::hash::splitmix64;
+
 /// Marker for "no slot" in the intrusive lists.
 const NIL: usize = usize::MAX;
 
@@ -221,7 +223,7 @@ fn ensure_slot(links: &mut Vec<Link>, idx: usize) {
 // --------------------------------------------------------------------- LRU
 
 /// Least recently used: the reference policy, byte-identical in behavior
-/// to the original intrusive-list `LruCache`.
+/// to the original intrusive-list LRU cache.
 #[derive(Clone, Debug, Default)]
 pub struct Lru {
     links: Vec<Link>,
@@ -447,14 +449,6 @@ impl EvictionPolicy for Slru {
 
 // ----------------------------------------------------------------- TinyLFU
 
-/// SplitMix64 finalizer: the workspace's standard bit mixer.
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// A 4-row count–min sketch with 4-bit-style saturation (u8 counters
 /// capped at 15) and periodic halving, the TinyLFU frequency filter.
 #[derive(Clone, Debug)]
@@ -472,10 +466,10 @@ impl FrequencySketch {
         // simulator's object universe without unbounded memory.
         let width = (capacity / 1024).clamp(1024, 1 << 20).next_power_of_two() as usize;
         let seeds = [
-            splitmix(seed ^ 0x9E37),
-            splitmix(seed ^ 0x85EB),
-            splitmix(seed ^ 0xC2B2),
-            splitmix(seed ^ 0x27D4),
+            splitmix64(seed ^ 0x9E37),
+            splitmix64(seed ^ 0x85EB),
+            splitmix64(seed ^ 0xC2B2),
+            splitmix64(seed ^ 0x27D4),
         ];
         FrequencySketch {
             rows: std::array::from_fn(|_| vec![0u8; width]),
@@ -488,7 +482,7 @@ impl FrequencySketch {
 
     fn increment(&mut self, hash: u64) {
         for (row, &rs) in self.rows.iter_mut().zip(&self.seeds) {
-            let slot = (splitmix(hash ^ rs) & self.mask) as usize;
+            let slot = (splitmix64(hash ^ rs) & self.mask) as usize;
             if row[slot] < 15 {
                 row[slot] += 1;
             }
@@ -503,7 +497,7 @@ impl FrequencySketch {
         self.rows
             .iter()
             .zip(&self.seeds)
-            .map(|(row, &rs)| row[(splitmix(hash ^ rs) & self.mask) as usize])
+            .map(|(row, &rs)| row[(splitmix64(hash ^ rs) & self.mask) as usize])
             .min()
             .unwrap_or(0)
     }

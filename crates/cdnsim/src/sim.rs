@@ -1,20 +1,25 @@
 //! The event-driven simulation engine.
 //!
-//! ## Shared-tier determinism
+//! ## One driver
 //!
-//! With a [`CacheHierarchy`] that has shared tiers, the engine runs under
-//! the epoch discipline described in [`crate::hierarchy`]: simulated time
-//! is cut into `sync_interval` epochs; within an epoch every shared-tier
-//! lookup reads the epoch-start snapshot and mutations are logged; at the
-//! boundary the log is applied in `(time, edge, eseq)` order. The
-//! sequential combined loop and the per-edge lockstep parallel driver
-//! ([`run_sharded`]) cut identical epochs and apply identical sorted
-//! logs, so their outputs are byte-identical.
+//! A [`Machine`] holds the simulation state of either the whole fleet or
+//! one edge's subset of the workload. [`run`], [`run_default`] and
+//! [`run_sharded`] all call [`drive`], which owns the crate's only epoch
+//! loop: it advances every machine to the next epoch boundary — inline
+//! for one combined machine, on the exec pool for one machine per edge —
+//! then applies the merged shared-tier access log under the discipline of
+//! [`crate::hierarchy`]: within an epoch every shared-tier lookup reads
+//! the epoch-start snapshot and mutations are logged; at the boundary the
+//! log is applied in `(time, edge, eseq)` order. Without shared tiers the
+//! run is a single unbounded epoch. Streams are per-edge and epoch cuts
+//! and orderings never depend on how edges are grouped into machines, so
+//! both fleet shapes produce byte-identical output.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Mutex;
 
+use jcdn_obs::hash::{splitmix64, GOLDEN_GAMMA};
 use jcdn_obs::metrics::{key, MetricsSnapshot};
 use jcdn_obs::timeseries::{WindowSpec, WindowedCounters};
 use jcdn_stats::Summary;
@@ -44,13 +49,9 @@ pub struct SimConfig {
     /// Per-edge cache capacity in bytes. Ignored when [`SimConfig::hierarchy`]
     /// is set (the hierarchy's edge tier wins).
     pub cache_capacity: u64,
-    /// Compat alias for a 2-level LRU hierarchy: when set (and
-    /// [`SimConfig::hierarchy`] is not), cacheable edge misses consult a
-    /// shared regional parent of this many bytes before the origin —
-    /// equivalent to [`CacheHierarchy::with_parent`].
-    pub parent_cache: Option<u64>,
-    /// Full N-level cache hierarchy. Takes precedence over
-    /// [`SimConfig::cache_capacity`] and [`SimConfig::parent_cache`].
+    /// Full N-level cache hierarchy ([`CacheHierarchy::with_parent`] is the
+    /// classic edge + regional parent). Takes precedence over
+    /// [`SimConfig::cache_capacity`].
     pub hierarchy: Option<CacheHierarchy>,
     /// Network delays.
     pub latency: LatencyModel,
@@ -82,7 +83,6 @@ impl Default for SimConfig {
         SimConfig {
             edges: 3,
             cache_capacity: 256 << 20,
-            parent_cache: None,
             hierarchy: None,
             latency: LatencyModel::default(),
             service_base: SimDuration::from_micros(200),
@@ -97,16 +97,12 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// The effective hierarchy: [`SimConfig::hierarchy`] when set, else the
-    /// `parent_cache` compat alias, else a single edge tier of
-    /// [`SimConfig::cache_capacity`] bytes.
+    /// The effective hierarchy: [`SimConfig::hierarchy`] when set, else a
+    /// single edge tier of [`SimConfig::cache_capacity`] bytes.
     pub fn resolved_hierarchy(&self) -> CacheHierarchy {
         match &self.hierarchy {
             Some(h) => h.clone(),
-            None => match self.parent_cache {
-                Some(cap) => CacheHierarchy::with_parent(self.cache_capacity, cap),
-                None => CacheHierarchy::single(self.cache_capacity),
-            },
+            None => CacheHierarchy::single(self.cache_capacity),
         }
     }
 }
@@ -246,18 +242,6 @@ impl SimStats {
     /// JSON-only uncacheable share (paper: ~55%).
     pub fn json_uncacheable_share(&self) -> Option<f64> {
         (self.json_requests > 0).then(|| self.json_not_cacheable as f64 / self.json_requests as f64)
-    }
-
-    /// Cacheable edge misses served by any shared tier — the old
-    /// parent-tier hit counter, generalized over N tiers.
-    pub fn parent_hits(&self) -> u64 {
-        self.tier_hits.iter().sum()
-    }
-
-    /// Cacheable edge misses that fell through every shared tier to the
-    /// origin — the old parent-tier miss counter, generalized.
-    pub fn parent_misses(&self) -> u64 {
-        self.tier_misses.last().copied().unwrap_or(0)
     }
 
     /// Hit ratio of shared tier `t` over the lookups that reached it.
@@ -514,12 +498,9 @@ fn route_edge(fault: &FaultPlan, edges: usize, ip_hash: u64, t: SimTime) -> usiz
 }
 
 /// Derives a statistically independent per-edge stream seed from the base
-/// seed (SplitMix64 finalizer over a golden-ratio stride).
+/// seed: SplitMix64 over a golden-ratio stride.
 fn edge_seed(seed: u64, edge: usize) -> u64 {
-    let mut z = seed.wrapping_add((edge as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    splitmix64(seed.wrapping_add((edge as u64).wrapping_mul(GOLDEN_GAMMA)))
 }
 
 /// Smallest epoch boundary strictly after `t`.
@@ -528,15 +509,12 @@ fn next_epoch_boundary(t: SimTime, interval: SimDuration) -> SimTime {
     SimTime::from_micros((t.as_micros() / iv + 1).saturating_mul(iv))
 }
 
-/// Runs the workload through the simulated CDN with the given policy.
-pub fn run(workload: &Workload, config: &SimConfig, policy: &mut dyn Policy) -> SimOutput {
-    run_inner(workload, config, policy, None)
-}
-
-/// The per-run simulation state: every edge's caches, queues and RNG
-/// streams, the event heap, the arrival cursor, and the shared-tier access
-/// log. Extracted from the old monolithic loop so the combined sequential
-/// run and the per-edge lockstep parallel run drive identical code.
+/// The simulation state of one fleet member: every edge's caches, queues
+/// and RNG streams, the event heap, the arrival cursor, and the shared-tier
+/// access log. With `only_edge` set the machine skips arrivals routed to
+/// any other edge, so it simulates one edge's subset of the workload;
+/// [`drive`] runs either one combined machine or one machine per edge
+/// through the same code.
 struct Machine<'w> {
     workload: &'w Workload,
     config: &'w SimConfig,
@@ -643,17 +621,19 @@ impl<'w> Machine<'w> {
     fn next_time(&self) -> Option<SimTime> {
         let arrival = self.workload.events.get(self.next_arrival).map(|e| e.time);
         let internal = self.heap.peek().map(|Reverse((t, _, _))| *t);
-        match (arrival, internal) {
-            (None, None) => None,
-            (Some(a), None) => Some(a),
-            (None, Some(i)) => Some(i),
-            (Some(a), Some(i)) => Some(a.min(i)),
-        }
+        arrival.into_iter().chain(internal).min()
     }
 
-    /// Takes this epoch's shared-tier access log.
-    fn drain_tier_log(&mut self) -> Vec<TierAccess> {
-        std::mem::take(&mut self.tier_log)
+    /// Advances to `limit` (see [`Machine::run_until`]) and hands back this
+    /// epoch's shared-tier access log with the time of the next event.
+    fn step(
+        &mut self,
+        policy: &mut dyn Policy,
+        tiers: &[SharedTier],
+        limit: Option<SimTime>,
+    ) -> (Vec<TierAccess>, Option<SimTime>) {
+        self.run_until(policy, tiers, limit);
+        (std::mem::take(&mut self.tier_log), self.next_time())
     }
 
     /// Processes events with `time < limit` (all remaining events when
@@ -662,32 +642,13 @@ impl<'w> Machine<'w> {
     fn run_until(&mut self, policy: &mut dyn Policy, tiers: &[SharedTier], limit: Option<SimTime>) {
         let workload = self.workload;
         let config = self.config;
-        loop {
-            // Pick the earlier of the next arrival and the next internal
-            // event.
-            let arrival_time = workload.events.get(self.next_arrival).map(|e| e.time);
-            let internal_time = self.heap.peek().map(|Reverse((t, _, _))| *t);
-            let take_arrival = match (arrival_time, internal_time) {
-                (None, None) => break,
-                (Some(at), None) => {
-                    if limit.is_some_and(|l| at >= l) {
-                        break;
-                    }
-                    true
-                }
-                (None, Some(it)) => {
-                    if limit.is_some_and(|l| it >= l) {
-                        break;
-                    }
-                    false
-                }
-                (Some(at), Some(it)) => {
-                    if limit.is_some_and(|l| at.min(it) >= l) {
-                        break;
-                    }
-                    at <= it
-                }
-            };
+        // Take the earlier of the next arrival and the next internal event;
+        // an arrival wins a tie.
+        while let Some(now) = self.next_time().filter(|&t| limit.is_none_or(|l| t < l)) {
+            let take_arrival = workload
+                .events
+                .get(self.next_arrival)
+                .is_some_and(|e| e.time == now);
             match take_arrival {
                 true => {
                     let widx = self.next_arrival;
@@ -860,8 +821,9 @@ impl<'w> Machine<'w> {
     }
 
     /// Folds edge-cache counters into the stats and metrics and produces
-    /// the output (trace canonically sorted). Shared-tier metrics are NOT
-    /// recorded here — the driver does that exactly once per run via
+    /// the output, records still in completion order: [`merge_outputs`]
+    /// sorts the run's records once. Shared-tier metrics are NOT recorded
+    /// here — the driver does that exactly once per run via
     /// [`record_tier_metrics`].
     fn finish(mut self) -> SimOutput {
         // Merge cache-level prefetch-hit counters.
@@ -869,10 +831,6 @@ impl<'w> Machine<'w> {
             self.stats.prefetch_useful += edge.cache.stats().prefetch_hits;
         }
 
-        // Canonical total-order sort: the log is time-sorted and the order
-        // of equal-time records never depends on edge interleaving, so
-        // per-edge subset runs concatenate to exactly this log.
-        self.trace.sort_canonical();
         let mut metrics = MetricsSnapshot::default();
         for (e, counters) in self.edge_counters.iter().enumerate() {
             counters.record_into(e, &mut metrics);
@@ -928,54 +886,9 @@ fn record_tier_metrics(metrics: &mut MetricsSnapshot, tiers: &[SharedTier]) {
     }
 }
 
-/// The engine behind [`run`] and [`run_sharded`]: when `only_edge` is set,
-/// arrivals routed to any other edge are skipped, so the run simulates one
-/// edge's subset of the workload.
-///
-/// Every stochastic stream (sizes, latency jitter, errors/faults) is
-/// **per-edge**, derived from [`edge_seed`], and the final log sort is the
-/// canonical total order — so simulating edges one subset at a time yields
-/// the same records the combined run produces.
-fn run_inner(
-    workload: &Workload,
-    config: &SimConfig,
-    policy: &mut dyn Policy,
-    only_edge: Option<usize>,
-) -> SimOutput {
-    let _span = match only_edge {
-        Some(e) => jcdn_obs::span!("simulate.edge", edge = e as u64),
-        None => jcdn_obs::span!("simulate.run"),
-    };
-    let hierarchy = config.resolved_hierarchy();
-    let validation = hierarchy.validate();
-    assert!(
-        validation.is_ok(),
-        "invalid cache hierarchy: {validation:?}"
-    );
-    let mut machine = Machine::new(workload, config, &hierarchy, only_edge);
-    if hierarchy.shared.is_empty() {
-        machine.run_until(policy, &[], None);
-        return machine.finish();
-    }
-
-    // Epoch loop: process strictly inside each epoch against the frozen
-    // tier snapshot, flush the access log at the boundary, fast-forward
-    // to the epoch containing the next event.
-    let mut tiers = SharedTier::build_all(&hierarchy, config.seed);
-    let interval = hierarchy.sync_interval;
-    let mut epoch_end = next_epoch_boundary(SimTime::ZERO, interval);
-    loop {
-        machine.run_until(policy, &tiers, Some(epoch_end));
-        let mut log = machine.drain_tier_log();
-        flush_accesses(&mut tiers, &mut log);
-        let Some(next) = machine.next_time() else {
-            break;
-        };
-        epoch_end = next_epoch_boundary(next, interval);
-    }
-    let mut out = machine.finish();
-    record_tier_metrics(&mut out.metrics, &tiers);
-    out
+/// Runs the workload through the simulated CDN with the given policy.
+pub fn run(workload: &Workload, config: &SimConfig, policy: &mut dyn Policy) -> SimOutput {
+    drive(workload, config, policy, 1)
 }
 
 /// Runs with the no-op policy.
@@ -983,45 +896,118 @@ pub fn run_default(workload: &Workload, config: &SimConfig) -> SimOutput {
     run(workload, config, &mut NoopPolicy)
 }
 
-/// Runs the simulation with per-edge subsets fanned out over a
-/// `threads`-wide worker pool, producing the same trace records and
-/// integer counters as [`run_default`] (latency summaries match to float
-/// merge precision).
-///
-/// Without shared tiers the per-edge subsets are fully independent and
-/// run to completion concurrently. With shared tiers the per-edge
-/// machines run in epoch lockstep against snapshot tiers (see
-/// [`crate::hierarchy`]) — still byte-identical to the sequential run at
-/// any thread count. Only edge flaps (dynamic routing) force the
-/// sequential path, as do single-edge or single-thread runs.
+/// Runs with the no-op policy, fanning the edges out over a `threads`-wide
+/// worker pool where [`drive`] can. The trace records and integer counters
+/// equal [`run_default`]'s at any thread count (latency summaries match to
+/// float merge precision).
 pub fn run_sharded(workload: &Workload, config: &SimConfig, threads: usize) -> SimOutput {
-    if threads <= 1 || config.edges <= 1 || !config.fault.flaps.is_empty() {
-        return run_default(workload, config);
-    }
-    let hierarchy = config.resolved_hierarchy();
-    if !hierarchy.shared.is_empty() {
-        return run_sharded_hierarchy(workload, config, &hierarchy, threads);
-    }
-    let outputs = jcdn_exec::scatter_gather_labeled("sim.edges", config.edges, threads, |e| {
-        run_inner(workload, config, &mut NoopPolicy, Some(e))
-    });
-    match merge_outputs(outputs) {
-        Some(out) => out,
-        None => run_default(workload, config),
-    }
+    drive(workload, config, &mut NoopPolicy, threads)
 }
 
-/// Merges per-edge outputs: stats and metrics add, records concatenate
-/// and re-sort canonically. Every per-edge run pre-interns the full
-/// object and client tables, so the interners are identical and records
-/// concatenate directly.
-fn merge_outputs(outputs: Vec<SimOutput>) -> Option<SimOutput> {
+/// The simulator's one driver: advances every machine of the fleet to each
+/// epoch boundary, then applies the merged shared-tier access log (see
+/// [`crate::hierarchy`]). Without shared tiers the run is a single
+/// unbounded epoch, so each machine runs to completion in one step.
+///
+/// Every stochastic stream (sizes, latency jitter, errors/faults, cache
+/// policies) is **per-edge**, derived from [`edge_seed`]; epoch cuts come
+/// from the global next-event time every machine reports; and the merged
+/// log is sorted by `(time, edge, eseq)` and the records canonically. So
+/// one combined machine and one machine per edge produce the same bytes.
+fn drive(
+    workload: &Workload,
+    config: &SimConfig,
+    policy: &mut dyn Policy,
+    threads: usize,
+) -> SimOutput {
+    let _span = jcdn_obs::span!("simulate.run");
+    let hierarchy = config.resolved_hierarchy();
+    let validation = hierarchy.validate();
+    assert!(
+        validation.is_ok(),
+        "invalid cache hierarchy: {validation:?}"
+    );
+    // One machine per edge, each with a `NoopPolicy`, fanned out on the
+    // pool — unless a single combined machine, run inline with the
+    // caller's policy, is required:
+    // * Flaps. A `Retry` re-routes at retry time, possibly to an edge
+    //   whose state lives in another machine.
+    // * Caller policies. A caller's `&mut dyn Policy` sees every edge.
+    //   Per-edge policy instances (live prefetch, still deferred) would
+    //   change what such a policy learns, and with it EXPERIMENTS.md.
+    let per_edge = threads > 1 && config.edges > 1 && config.fault.flaps.is_empty();
+    let fleet: Vec<Mutex<Option<Machine<'_>>>> = (0..if per_edge { config.edges } else { 1 })
+        .map(|_| Mutex::new(None))
+        .collect();
+
+    let mut tiers = SharedTier::build_all(&hierarchy, config.seed);
+    let interval = hierarchy.sync_interval;
+    let mut limit = (!tiers.is_empty()).then(|| next_epoch_boundary(SimTime::ZERO, interval));
+    loop {
+        // A machine is built at its first step, so per-edge machines
+        // intern their string tables in parallel on the pool.
+        let step = |m: usize, policy: &mut dyn Policy| {
+            lock_machine(&fleet[m])
+                .get_or_insert_with(|| {
+                    Machine::new(workload, config, &hierarchy, per_edge.then_some(m))
+                })
+                .step(policy, &tiers, limit)
+        };
+        let steps = if per_edge {
+            jcdn_exec::scatter_gather_labeled("sim.edges", fleet.len(), threads, |e| {
+                step(e, &mut NoopPolicy)
+            })
+        } else {
+            vec![step(0, policy)]
+        };
+        let mut log = Vec::new();
+        let mut next: Option<SimTime> = None;
+        for (part, n) in steps {
+            log.extend(part);
+            next = next.into_iter().chain(n).min();
+        }
+        flush_accesses(&mut tiers, &mut log);
+        // Fast-forward to the epoch holding the next event. An unbounded
+        // step leaves no next event.
+        let Some(next) = next else {
+            break;
+        };
+        limit = Some(next_epoch_boundary(next, interval));
+    }
+
+    let mut out = merge_outputs(fleet.into_iter().filter_map(|slot| {
+        let machine = slot
+            .into_inner()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)?;
+        Some(machine.finish())
+    }));
+    record_tier_metrics(&mut out.metrics, &tiers);
+    out
+}
+
+/// Merges machine outputs: stats and metrics add, records concatenate and
+/// sort canonically — a total order in which equal-time records never
+/// depend on edge interleaving, so per-edge subsets merge to exactly the
+/// combined machine's log. Every machine pre-interns the full object and
+/// client tables, so the interners are identical and records concatenate
+/// directly. An empty fleet merges to an empty output.
+fn merge_outputs(outputs: impl IntoIterator<Item = SimOutput>) -> SimOutput {
     let mut outputs = outputs.into_iter();
-    let first = outputs.next()?;
-    let mut stats = first.stats;
-    let mut metrics = first.metrics;
-    let mut series = first.series;
-    let (interner, mut records) = first.trace.into_parts();
+    let Some(SimOutput {
+        trace,
+        mut stats,
+        mut metrics,
+        mut series,
+    }) = outputs.next()
+    else {
+        return SimOutput {
+            trace: Trace::new(),
+            stats: SimStats::default(),
+            metrics: MetricsSnapshot::default(),
+            series: None,
+        };
+    };
+    let (interner, mut records) = trace.into_parts();
     for out in outputs {
         stats.merge(&out.stats);
         metrics.merge(&out.metrics);
@@ -1034,76 +1020,21 @@ fn merge_outputs(outputs: Vec<SimOutput>) -> Option<SimOutput> {
     }
     let mut trace = Trace::from_parts(interner, records);
     trace.sort_canonical();
-    Some(SimOutput {
+    SimOutput {
         trace,
         stats,
         metrics,
         series,
-    })
+    }
 }
 
 /// Locks a machine, recovering from a poisoned mutex (a panicked worker
 /// task was already isolated and retried by the exec pool).
-fn lock_machine<'a, 'w>(slot: &'a Mutex<Machine<'w>>) -> std::sync::MutexGuard<'a, Machine<'w>> {
+fn lock_machine<'a, 'w>(
+    slot: &'a Mutex<Option<Machine<'w>>>,
+) -> std::sync::MutexGuard<'a, Option<Machine<'w>>> {
     slot.lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// The epoch-lockstep parallel driver for hierarchies with shared tiers:
-/// one [`Machine`] per edge, all advanced to the same epoch boundary in
-/// parallel against the frozen tier snapshot; their access logs merge and
-/// flush between epochs. Identical epoch cuts + identical sorted logs ⇒
-/// output byte-identical to the sequential combined run.
-fn run_sharded_hierarchy(
-    workload: &Workload,
-    config: &SimConfig,
-    hierarchy: &CacheHierarchy,
-    threads: usize,
-) -> SimOutput {
-    let _span = jcdn_obs::span!("simulate.hierarchy");
-    let machines: Vec<Mutex<Machine<'_>>> = (0..config.edges)
-        .map(|e| Mutex::new(Machine::new(workload, config, hierarchy, Some(e))))
-        .collect();
-    let mut tiers = SharedTier::build_all(hierarchy, config.seed);
-    let interval = hierarchy.sync_interval;
-    let mut epoch_end = next_epoch_boundary(SimTime::ZERO, interval);
-    loop {
-        let results =
-            jcdn_exec::scatter_gather_labeled("sim.hierarchy.epoch", config.edges, threads, |e| {
-                let mut machine = lock_machine(&machines[e]);
-                machine.run_until(&mut NoopPolicy, &tiers, Some(epoch_end));
-                (machine.drain_tier_log(), machine.next_time())
-            });
-        let mut log = Vec::new();
-        let mut next: Option<SimTime> = None;
-        for (part, n) in results {
-            log.extend(part);
-            next = match (next, n) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-        }
-        flush_accesses(&mut tiers, &mut log);
-        let Some(next) = next else {
-            break;
-        };
-        epoch_end = next_epoch_boundary(next, interval);
-    }
-    let outputs: Vec<SimOutput> = machines
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .finish()
-        })
-        .collect();
-    match merge_outputs(outputs) {
-        Some(mut out) => {
-            record_tier_metrics(&mut out.metrics, &tiers);
-            out
-        }
-        None => run_default(workload, config),
-    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1554,6 +1485,7 @@ fn complete_request(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{EdgeFlap, Window};
     use crate::policy::PolicyKind;
     use jcdn_workload::{build, WorkloadConfig};
 
@@ -1654,46 +1586,68 @@ mod tests {
         assert_eq!(a.stats.hits, b.stats.hits);
     }
 
+    /// A fault plan that takes edge 1 out of rotation for a minute.
+    fn flapping_edge() -> FaultPlan {
+        FaultPlan {
+            flaps: vec![EdgeFlap {
+                edge: 1,
+                window: Window::from_secs(30, 90),
+            }],
+            ..FaultPlan::default()
+        }
+    }
+
     #[test]
     fn sharded_run_matches_the_sequential_run() {
         let w = build(&WorkloadConfig::tiny(21));
-        let config = SimConfig {
-            edges: 4,
-            error_fraction: 0.02, // exercise the retry path too
-            ..SimConfig::default()
-        };
-        let sequential = run_default(&w, &config);
-        for threads in [2, 4] {
-            let sharded = run_sharded(&w, &config, threads);
-            assert_eq!(
-                sequential.trace.records(),
-                sharded.trace.records(),
-                "{threads} threads"
-            );
-            assert_eq!(sequential.stats.requests, sharded.stats.requests);
-            assert_eq!(sequential.stats.hits, sharded.stats.hits);
-            assert_eq!(sequential.stats.misses, sharded.stats.misses);
-            assert_eq!(
-                sequential.stats.retries_issued,
-                sharded.stats.retries_issued
-            );
-            assert_eq!(
-                sequential.stats.end_user_failures,
-                sharded.stats.end_user_failures
-            );
-            assert_eq!(
-                sequential.stats.latency_normal.count(),
-                sharded.stats.latency_normal.count()
-            );
-            // Per-edge observability counters are part of the determinism
-            // contract: the merged per-edge snapshots must be byte-identical
-            // to the combined run's snapshot.
-            assert_eq!(
-                sequential.metrics.counters_json(),
-                sharded.metrics.counters_json(),
-                "{threads} threads"
-            );
+        let mut sequentials = Vec::new();
+        for fault in [FaultPlan::default(), flapping_edge()] {
+            let config = SimConfig {
+                edges: 4,
+                error_fraction: 0.02, // exercise the retry path too
+                fault,
+                ..SimConfig::default()
+            };
+            let flaps = config.fault.flaps.len();
+            let sequential = run_default(&w, &config);
+            for threads in [2, 4] {
+                let sharded = run_sharded(&w, &config, threads);
+                assert_eq!(
+                    sequential.trace.records(),
+                    sharded.trace.records(),
+                    "{threads} threads, {flaps} flaps"
+                );
+                assert_eq!(sequential.stats.requests, sharded.stats.requests);
+                assert_eq!(sequential.stats.hits, sharded.stats.hits);
+                assert_eq!(sequential.stats.misses, sharded.stats.misses);
+                assert_eq!(
+                    sequential.stats.retries_issued,
+                    sharded.stats.retries_issued
+                );
+                assert_eq!(
+                    sequential.stats.end_user_failures,
+                    sharded.stats.end_user_failures
+                );
+                assert_eq!(
+                    sequential.stats.latency_normal.count(),
+                    sharded.stats.latency_normal.count()
+                );
+                // Per-edge observability counters are part of the
+                // determinism contract: the merged per-edge snapshots must
+                // be byte-identical to the combined run's snapshot.
+                assert_eq!(
+                    sequential.metrics.counters_json(),
+                    sharded.metrics.counters_json(),
+                    "{threads} threads, {flaps} flaps"
+                );
+            }
+            sequentials.push(sequential);
         }
+        assert_ne!(
+            sequentials[0].trace.records(),
+            sequentials[1].trace.records(),
+            "the flap must re-route traffic"
+        );
     }
 
     #[test]
@@ -1771,7 +1725,7 @@ mod tests {
         let out = run_default(&w, &config);
         assert_eq!(
             out.metrics.counter_prefix_sum("cache.tier_hits{"),
-            out.stats.parent_hits()
+            out.stats.tier_hits.iter().sum::<u64>()
         );
         assert!(
             out.metrics.counter_prefix_sum("cache.evictions{") >= out.stats.tier_hits.len() as u64
@@ -1783,31 +1737,37 @@ mod tests {
     #[test]
     fn sharded_run_with_parent_tier_matches_sequential() {
         let w = build(&WorkloadConfig::tiny(23));
-        // A parent tier couples the edges; the epoch-lockstep driver must
-        // reproduce the sequential result byte for byte — no sequential
-        // fallback anymore.
-        let config = SimConfig {
-            parent_cache: Some(1 << 30),
-            edges: 3,
-            ..SimConfig::default()
-        };
-        let sequential = run_default(&w, &config);
-        assert!(sequential.stats.parent_hits() > 0, "parent sees traffic");
-        for threads in [2, 4] {
-            let sharded = run_sharded(&w, &config, threads);
-            assert_eq!(
-                sequential.trace.records(),
-                sharded.trace.records(),
-                "{threads} threads"
-            );
-            assert_eq!(sequential.stats.parent_hits(), sharded.stats.parent_hits());
-            assert_eq!(sequential.stats.tier_hits, sharded.stats.tier_hits);
-            assert_eq!(sequential.stats.tier_misses, sharded.stats.tier_misses);
-            assert_eq!(
-                sequential.metrics.counters_json(),
-                sharded.metrics.counters_json(),
-                "{threads} threads"
-            );
+        // A parent tier couples the edges; the driver must reproduce the
+        // sequential result byte for byte, with and without a flapping
+        // edge.
+        for fault in [FaultPlan::default(), flapping_edge()] {
+            let config = SimConfig {
+                hierarchy: Some(CacheHierarchy::with_parent(
+                    SimConfig::default().cache_capacity,
+                    1 << 30,
+                )),
+                edges: 3,
+                fault,
+                ..SimConfig::default()
+            };
+            let flaps = config.fault.flaps.len();
+            let sequential = run_default(&w, &config);
+            assert!(sequential.stats.tier_hits[0] > 0, "parent sees traffic");
+            for threads in [2, 4] {
+                let sharded = run_sharded(&w, &config, threads);
+                assert_eq!(
+                    sequential.trace.records(),
+                    sharded.trace.records(),
+                    "{threads} threads, {flaps} flaps"
+                );
+                assert_eq!(sequential.stats.tier_hits, sharded.stats.tier_hits);
+                assert_eq!(sequential.stats.tier_misses, sharded.stats.tier_misses);
+                assert_eq!(
+                    sequential.metrics.counters_json(),
+                    sharded.metrics.counters_json(),
+                    "{threads} threads, {flaps} flaps"
+                );
+            }
         }
     }
 
@@ -1833,26 +1793,6 @@ mod tests {
                 "{policy}"
             );
         }
-    }
-
-    #[test]
-    fn parent_alias_equals_explicit_two_level_hierarchy() {
-        let w = build(&WorkloadConfig::tiny(41));
-        let alias = SimConfig {
-            parent_cache: Some(1 << 28),
-            ..SimConfig::default()
-        };
-        let explicit = SimConfig {
-            hierarchy: Some(CacheHierarchy::with_parent(
-                SimConfig::default().cache_capacity,
-                1 << 28,
-            )),
-            ..SimConfig::default()
-        };
-        let a = run_default(&w, &alias);
-        let b = run_default(&w, &explicit);
-        assert_eq!(a.trace.records(), b.trace.records());
-        assert_eq!(a.stats.tier_hits, b.stats.tier_hits);
     }
 
     #[test]
@@ -1995,16 +1935,19 @@ mod tests {
         let tiered = run_default(
             &w,
             &SimConfig {
-                parent_cache: Some(1 << 30),
+                hierarchy: Some(CacheHierarchy::with_parent(
+                    SimConfig::default().cache_capacity,
+                    1 << 30,
+                )),
                 ..SimConfig::default()
             },
         );
         assert!(
-            tiered.stats.parent_hits() > 0,
+            tiered.stats.tier_hits[0] > 0,
             "shared objects hit the parent"
         );
         assert_eq!(
-            tiered.stats.parent_hits() + tiered.stats.parent_misses(),
+            tiered.stats.tier_hits[0] + tiered.stats.tier_misses[0],
             tiered.stats.misses
         );
         // Edge-level hit counts are identical; the parent only changes

@@ -1,7 +1,7 @@
 //! Model-based property tests for the edge cache: the LRU must agree with
 //! a naive reference implementation on every operation sequence.
 
-use jcdn_cdnsim::cache::{Lookup, LruCache};
+use jcdn_cdnsim::cache::{Lookup, PolicyCache};
 use jcdn_cdnsim::{SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -76,7 +76,7 @@ proptest! {
         // Long TTL so expiry never interferes; time advances per op so
         // recency updates are observable.
         let ttl = SimDuration::from_secs(1 << 30);
-        let mut lru: LruCache<u8> = LruCache::new(capacity);
+        let mut lru: PolicyCache<u8> = PolicyCache::new(capacity);
         let mut reference = Reference { capacity, ..Reference::default() };
         for (i, op) in ops.iter().enumerate() {
             let now = SimTime::from_secs(i as u64);
@@ -110,7 +110,7 @@ proptest! {
         ttl_secs in 1u64..100,
         probe_offset in 0u64..200,
     ) {
-        let mut lru: LruCache<u8> = LruCache::new(1000);
+        let mut lru: PolicyCache<u8> = PolicyCache::new(1000);
         lru.insert(1, 10, SimDuration::from_secs(ttl_secs), SimTime::ZERO, false);
         let hit = lru.get(1, SimTime::from_secs(probe_offset));
         prop_assert_eq!(hit, probe_offset < ttl_secs);
@@ -128,7 +128,7 @@ proptest! {
     ) {
         let ttl = SimDuration::from_secs(ttl_secs);
         let grace = SimDuration::from_secs(grace_secs);
-        let mut lru: LruCache<u8> = LruCache::new(1000);
+        let mut lru: PolicyCache<u8> = PolicyCache::new(1000);
         lru.insert(1, 10, ttl, SimTime::ZERO, false);
         let now = SimTime::from_secs(probe_offset);
         let expected = if probe_offset < ttl_secs {
@@ -168,7 +168,7 @@ proptest! {
     ) {
         let ttl = SimDuration::from_secs(1 << 30);
         let capacity: u64 = sizes.iter().sum();
-        let mut lru: LruCache<u8> = LruCache::new(capacity);
+        let mut lru: PolicyCache<u8> = PolicyCache::new(capacity);
         for (i, &s) in sizes.iter().enumerate() {
             lru.insert(i as u8, s, ttl, SimTime::from_secs(i as u64), false);
         }
@@ -216,7 +216,7 @@ proptest! {
         extra_hits in 0usize..5,
     ) {
         let ttl = SimDuration::from_secs(1 << 30);
-        let mut lru: LruCache<u8> = LruCache::new(1000);
+        let mut lru: PolicyCache<u8> = PolicyCache::new(1000);
         lru.insert(1, 10, ttl, SimTime::ZERO, prefetched);
         for i in 0..=extra_hits {
             prop_assert!(lru.get(1, SimTime::from_secs(1 + i as u64)));

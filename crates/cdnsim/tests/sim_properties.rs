@@ -2,8 +2,8 @@
 //! any seed and any topology.
 
 use jcdn_cdnsim::{
-    run_default, ErrorBursts, FaultPlan, OriginOutage, ResilienceConfig, SimConfig, SimDuration,
-    Window,
+    run_default, CacheHierarchy, ErrorBursts, FaultPlan, OriginOutage, ResilienceConfig, SimConfig,
+    SimDuration, Window,
 };
 use jcdn_trace::codec::encode;
 use jcdn_trace::{CacheStatus, RecordFlags};
@@ -36,7 +36,9 @@ proptest! {
         let workload = build(&WorkloadConfig::tiny(seed).scaled(0.2));
         let config = SimConfig {
             edges,
-            parent_cache: parent.then_some(1 << 28),
+            hierarchy: parent.then(|| {
+                CacheHierarchy::with_parent(SimConfig::default().cache_capacity, 1 << 28)
+            }),
             ..SimConfig::default()
         };
         let out = run_default(&workload, &config);
@@ -64,10 +66,9 @@ proptest! {
         // Parent-tier counters only exist with a parent, and partition the
         // edge misses.
         if parent {
-            prop_assert_eq!(stats.parent_hits() + stats.parent_misses(), stats.misses);
+            prop_assert_eq!(stats.tier_hits[0] + stats.tier_misses[0], stats.misses);
         } else {
-            prop_assert_eq!(stats.parent_hits(), 0);
-            prop_assert_eq!(stats.parent_misses(), 0);
+            prop_assert!(stats.tier_hits.is_empty() && stats.tier_misses.is_empty());
         }
 
         // Latency summaries cover every request.

@@ -32,6 +32,8 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
+use jcdn_obs::hash::{splitmix64, GOLDEN_GAMMA};
+
 /// An injected I/O failure, surfaced by [`Chaos::on_write`]. Callers map
 /// it onto their native error type (the trace store turns it into a
 /// `std::io::Error`).
@@ -238,12 +240,7 @@ impl FailPlan {
         if bound == 0 {
             return 0;
         }
-        let mut z = self.seed ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        z % bound
+        splitmix64(self.seed ^ salt.wrapping_mul(GOLDEN_GAMMA)) % bound
     }
 }
 

@@ -20,12 +20,8 @@ pub enum Split {
 /// clients whose hash bucket (out of 100) falls below
 /// `train_percent` train the model.
 pub fn split_client(client_key: u64, train_percent: u8) -> Split {
-    // SplitMix finalizer decorrelates sequential client ids.
-    let mut x = client_key;
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^= x >> 31;
-    if (x % 100) < u64::from(train_percent) {
+    // The SplitMix finalizer decorrelates sequential client ids.
+    if (jcdn_obs::hash::mix64(client_key) % 100) < u64::from(train_percent) {
         Split::Train
     } else {
         Split::Test

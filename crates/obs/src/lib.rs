@@ -27,6 +27,7 @@
 //! Modules:
 //!
 //! * [`clock`] — the wall-clock boundary ([`clock::Stopwatch`]).
+//! * [`hash`] — the workspace's one SplitMix64 and one FNV-1a.
 //! * [`metrics`] — mergeable counters/gauges/histograms with fixed
 //!   buckets, mirroring the `SimStats`/`PartialReport` merge idiom.
 //! * [`span`] — lightweight span tracing into a global ring buffer with
@@ -51,6 +52,8 @@
 pub mod clock;
 /// Exporters: Prometheus text exposition and chrome-trace span dumps.
 pub mod export;
+/// Stable hashes: SplitMix64 seed derivation and FNV-1a digests.
+pub mod hash;
 /// Minimal hand-rolled JSON emission (the crate has zero dependencies).
 pub mod json;
 /// Run manifests: the per-command observability artifact.

@@ -50,15 +50,8 @@ impl std::str::FromStr for ObsLevel {
 }
 
 /// FNV-1a 64-bit hash — the manifest's digest primitive (fault plans,
-/// configs). Deterministic, dependency-free, not cryptographic.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+/// configs), under the name manifest readers already use.
+pub use crate::hash::fnv1a as fnv1a64;
 
 /// Peak resident set size in KiB, from `/proc/self/status` (`VmHWM`).
 /// `None` off Linux (the read is compiled out rather than attempted and
@@ -302,14 +295,6 @@ impl RunManifest {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_known_vectors() {
-        // Standard FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-    }
 
     #[test]
     fn obs_level_parses() {

@@ -33,6 +33,7 @@
 //!   the ACF peak near it refines the estimate and acts as the lineup
 //!   check — harmonics pass the power test but fail the ACF test.
 
+use jcdn_obs::hash::{splitmix64, GOLDEN_GAMMA};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -327,9 +328,8 @@ fn permutation_thresholds(series: &[f64], cfg: &PeriodicityConfig) -> Option<(f6
     let one = |i: usize| -> (f64, f64) {
         // Per-permutation RNG derived from (seed, index) so results do not
         // depend on thread scheduling.
-        let mut rng = StdRng::seed_from_u64(splitmix(
-            cfg.seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-        ));
+        let mut rng =
+            StdRng::seed_from_u64(splitmix64(cfg.seed ^ (i as u64).wrapping_mul(GOLDEN_GAMMA)));
         let mut shuffled = series.to_vec();
         shuffled.shuffle(&mut rng);
         let max_power = Periodogram::compute(&shuffled)
@@ -359,13 +359,6 @@ fn permutation_thresholds(series: &[f64], cfg: &PeriodicityConfig) -> Option<(f6
     let idx = (((1.0 - cfg.significance_quantile) * cfg.permutations as f64).floor() as usize)
         .min(cfg.permutations - 1);
     Some((powers[idx], acfs[idx]))
-}
-
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

@@ -54,31 +54,4 @@ pub use trace::{RecordView, Trace};
 
 /// Stable 64-bit FNV-1a hash, used to anonymize client IPs and to split
 /// clients into train/test sets deterministically.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(PRIME);
-    }
-    hash
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fnv1a_known_vectors() {
-        // Published FNV-1a test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn fnv1a_differs_on_inputs() {
-        assert_ne!(fnv1a(b"10.0.0.1"), fnv1a(b"10.0.0.2"));
-    }
-}
+pub use jcdn_obs::hash::fnv1a;

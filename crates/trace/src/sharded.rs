@@ -30,21 +30,22 @@ impl ShardedTrace {
     /// Splits a trace into `shard_count` contiguous, near-equal-size time
     /// partitions. Records are canonically sorted first, so the result is
     /// the same for any prior record order of the same multiset.
-    /// `shard_count` is clamped to at least 1.
+    /// `shard_count` is clamped to at least 1; an empty trace gets one
+    /// empty shard. Each shard is allocated at its exact size.
     pub fn from_trace(trace: Trace, shard_count: usize) -> Self {
-        let shard_count = shard_count.max(1);
         let (interner, mut records) = trace.into_parts();
         records.sort_unstable();
-        let total = records.len();
-        let per_shard = total.div_ceil(shard_count.min(total.max(1)));
-        let mut shards = Vec::with_capacity(shard_count);
-        let mut rest = records;
-        while rest.len() > per_shard {
-            let tail = rest.split_off(per_shard);
-            shards.push(rest);
-            rest = tail;
+        let per_shard = records.len().div_ceil(shard_count.max(1)).max(1);
+        // Cut from the back: each tail moves out once at its exact size,
+        // and the first shard keeps the original allocation, shrunk.
+        let mut shards = Vec::new();
+        while records.len() > per_shard {
+            let last_start = (records.len() - 1) / per_shard * per_shard;
+            shards.push(records.split_off(last_start));
         }
-        shards.push(rest);
+        records.shrink_to_fit();
+        shards.push(records);
+        shards.reverse();
         ShardedTrace { interner, shards }
     }
 
@@ -170,9 +171,22 @@ mod tests {
     }
 
     #[test]
+    fn shards_hold_no_spare_capacity() {
+        // Each shard owns exactly its records: no shard keeps a
+        // predecessor's allocation or a copy of the trace's tail.
+        for shards in [1, 3, 8] {
+            let sharded = ShardedTrace::from_trace(trace(1000), shards);
+            for shard in &sharded.shards {
+                assert_eq!(shard.capacity(), shard.len(), "{shards} shards");
+            }
+        }
+    }
+
+    #[test]
     fn empty_and_tiny_traces_shard_cleanly() {
         let sharded = ShardedTrace::from_trace(Trace::new(), 8);
         assert!(sharded.is_empty());
+        assert_eq!(sharded.shard_count(), 1);
         assert_eq!(sharded.into_trace().len(), 0);
 
         let sharded = ShardedTrace::from_trace(trace(3), 8);
