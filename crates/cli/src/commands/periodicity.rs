@@ -76,9 +76,11 @@ pub fn run(argv: &[String]) -> Result<Outcome, String> {
             trace.url(flow.url)
         );
     }
-    obs.manifest
-        .metrics
-        .inc("periodicity.flows", report.periodic_flows.len() as u64);
+    let metrics = &mut obs.manifest.metrics;
+    metrics.inc("periodicity.flows", report.periodic_flows.len() as u64);
+    metrics.inc("period.flows_tested", report.flows_tested);
+    metrics.inc("period.detect_calls", report.detect_calls);
+    metrics.inc("period.permutations", report.permutations);
     obs.finish()?;
     Ok(Outcome::Clean)
 }

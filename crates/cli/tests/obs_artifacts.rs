@@ -307,3 +307,67 @@ fn obs_bench_diff_flags_direction_aware_regressions() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn periodicity_manifest_records_its_work_counters_and_phases() {
+    let dir = tempdir("periodicity");
+    let trace = dir.join("t.jcdn");
+    let manifest = dir.join("periodicity.json");
+    let out = jcdn(&[
+        "generate",
+        "--preset",
+        "tiny",
+        "--seed",
+        "31",
+        "--scale",
+        "0.2",
+        "--out",
+        trace.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    // Loose filters so a small trace still has flows to test.
+    let out = jcdn(&[
+        "periodicity",
+        trace.to_str().unwrap(),
+        "--min-clients",
+        "3",
+        "--min-requests",
+        "5",
+        "--permutations",
+        "20",
+        "--obs-out",
+        manifest.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let json = jcdn_json::parse(&read(&manifest)).expect("manifest parses");
+    let counter = |name: &str| {
+        json.get("counters")
+            .and_then(|c| c.get(name))
+            .and_then(jcdn_json::Value::as_u64)
+            .unwrap_or(0)
+    };
+    let flows = counter("period.flows_tested");
+    let calls = counter("period.detect_calls");
+    let permutations = counter("period.permutations");
+    assert!(flows > 0, "period.flows_tested missing or zero");
+    assert!(calls >= flows, "{calls} detector calls for {flows} flows");
+    assert!(permutations > 0, "period.permutations missing or zero");
+    assert!(permutations <= calls * 20, "{permutations} permutations");
+
+    let phases = json.pointer("/perf/phases").expect("perf phases");
+    for phase in ["periodicity.flows", "periodicity.detect"] {
+        assert!(phases.get(phase).is_some(), "phase {phase} missing");
+    }
+
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -9,7 +9,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use jcdn_signal::periodicity::{detect_period, DetectedPeriod, PeriodicityConfig};
+use jcdn_signal::periodicity::{detect_period_counted, DetectedPeriod, PeriodicityConfig};
 use jcdn_stats::{Ecdf, LogHistogram};
 use jcdn_trace::flows::{FlowClient, FlowSet};
 use jcdn_trace::{MimeType, Trace, UrlId};
@@ -77,6 +77,14 @@ pub struct PeriodicityReport {
     pub periodic_uncacheable: u64,
     /// Of periodic requests: how many were uploads (paper: 78%).
     pub periodic_uploads: u64,
+    /// Object flows that passed the significance filters; each gets one
+    /// object-level detection.
+    pub flows_tested: u64,
+    /// Detector calls: one per tested object flow, plus one per client
+    /// flow of an object that has a period.
+    pub detect_calls: u64,
+    /// Permutations the detector ran over all its calls.
+    pub permutations: u64,
 }
 
 impl PeriodicityReport {
@@ -145,8 +153,12 @@ pub fn run_study(trace: &Trace, config: &PeriodicityStudyConfig) -> PeriodicityR
         ..PeriodicityReport::default()
     };
 
-    let flows = FlowSet::build(trace, |r| r.mime == MimeType::Json)
-        .apply_significance_filters(config.min_requests, config.min_clients);
+    let flows = {
+        let _span = jcdn_obs::span!("periodicity.flows");
+        FlowSet::build(trace, |r| r.mime == MimeType::Json)
+            .apply_significance_filters(config.min_requests, config.min_clients)
+    };
+    report.flows_tested = flows.flows.len() as u64;
 
     // Clip each flow to its first `max_bins × sampling` seconds so the
     // detector always runs at full (1s) resolution. A full-day object flow
@@ -161,6 +173,15 @@ pub fn run_study(trace: &Trace, config: &PeriodicityStudyConfig) -> PeriodicityR
         times.into_iter().take_while(|&t| t < end).collect()
     };
 
+    let (mut detect_calls, mut permutations) = (0u64, 0u64);
+    let mut detect = |times: &[f64]| {
+        let (hit, work) = detect_period_counted(times, &config.detector);
+        detect_calls += 1;
+        permutations += work as u64;
+        hit
+    };
+
+    let detect_span = jcdn_obs::span!("periodicity.detect");
     for flow in &flows.flows {
         // Object-level detection on the merged request sequence.
         let merged = clip(
@@ -169,7 +190,7 @@ pub fn run_study(trace: &Trace, config: &PeriodicityStudyConfig) -> PeriodicityR
                 .map(|t| t.as_secs_f64())
                 .collect(),
         );
-        let Some(object_period) = detect_period(&merged, &config.detector) else {
+        let Some(object_period) = detect(&merged) else {
             continue;
         };
 
@@ -178,7 +199,7 @@ pub fn run_study(trace: &Trace, config: &PeriodicityStudyConfig) -> PeriodicityR
         let mut periodic_clients = 0usize;
         for cf in &flow.client_flows {
             let times = clip(cf.times.iter().map(|t| t.as_secs_f64()).collect());
-            let Some(client_period) = detect_period(&times, &config.detector) else {
+            let Some(client_period) = detect(&times) else {
                 continue;
             };
             if client_matches_object(&client_period, &object_period, config.match_tolerance_bins) {
@@ -203,6 +224,10 @@ pub fn run_study(trace: &Trace, config: &PeriodicityStudyConfig) -> PeriodicityR
             );
         }
     }
+
+    drop(detect_span);
+    report.detect_calls = detect_calls;
+    report.permutations = permutations;
 
     // Cross statistics need the records of periodic (client, object) pairs.
     let periodic_pairs: HashSet<(FlowClient, UrlId)> = report
@@ -351,6 +376,21 @@ mod tests {
         assert_eq!(hist.total(), 1);
         let cdf = report.client_fraction_cdf();
         assert_eq!(cdf.len(), 1);
+    }
+
+    #[test]
+    fn work_counters_follow_the_detector_calls() {
+        let trace = planted_trace();
+        let config = fast_config();
+        let report = run_study(&trace, &config);
+        // Both planted objects pass the filters; only the periodic one
+        // has a period, so its 12 client flows are tested too.
+        assert_eq!(report.flows_tested, 2);
+        assert_eq!(report.detect_calls, 2 + 12);
+        assert_eq!(
+            report.permutations,
+            report.detect_calls * config.detector.permutations as u64
+        );
     }
 
     #[test]

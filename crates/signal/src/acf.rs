@@ -1,14 +1,16 @@
 //! Autocorrelation via the Wiener–Khinchin theorem.
 
-use crate::fft::{fft_in_place, ifft_in_place, next_pow2, Complex};
+use crate::kernel::Kernel;
 
 /// The (linear, biased) autocorrelation of a real signal, normalized so
 /// `acf[0] = 1`.
 ///
 /// Computed through the frequency domain: zero-pad the mean-removed signal
-/// to at least `2n` (to avoid circular wrap-around), FFT, multiply by the
-/// conjugate, inverse FFT. O(n log n) instead of the naive O(n²), which
-/// matters when thousands of client-object flows each run 100 permutations.
+/// to at least `2n` (to avoid circular wrap-around), FFT, take `|X|²`,
+/// inverse FFT — both transforms packed as half-length complex ones (see
+/// the crate's `kernel` module). O(n log n) instead of the naive O(n²),
+/// which matters when thousands of client-object flows each run 100
+/// permutations.
 #[derive(Clone, Debug)]
 pub struct Autocorrelation {
     /// `acf[lag]` for `lag = 0 .. n`, with `acf[0] = 1` (or all zeros for a
@@ -19,29 +21,14 @@ pub struct Autocorrelation {
 impl Autocorrelation {
     /// Computes the autocorrelation of `signal`.
     pub fn compute(signal: &[f64]) -> Autocorrelation {
-        let n = signal.len();
-        if n == 0 {
+        if signal.is_empty() {
             return Autocorrelation { values: Vec::new() };
         }
-        let mean = signal.iter().sum::<f64>() / n as f64;
-        let padded_len = next_pow2(2 * n);
-        let mut data = vec![Complex::ZERO; padded_len];
-        for (slot, &x) in data.iter_mut().zip(signal.iter()) {
-            *slot = Complex::real(x - mean);
-        }
-        fft_in_place(&mut data);
-        for x in data.iter_mut() {
-            *x = Complex::real(x.norm_sq());
-        }
-        ifft_in_place(&mut data);
-        let r0 = data[0].re;
-        let values = if r0 <= 1e-12 {
-            // Constant signal: autocovariance is identically zero.
-            vec![0.0; n]
-        } else {
-            data[..n].iter().map(|c| c.re / r0).collect()
-        };
-        Autocorrelation { values }
+        let kernel = Kernel::new(signal.len());
+        let mut scratch = kernel.scratch();
+        kernel.spectrum(signal, &mut scratch);
+        kernel.autocovariance(&mut scratch);
+        kernel.autocorrelation(&scratch)
     }
 
     /// Number of lags (equal to the signal length).
@@ -58,27 +45,15 @@ impl Autocorrelation {
     /// decreasing value order. Lags 0 and 1 are excluded — lag 0 is the
     /// trivial peak and lag 1 is dominated by short-range smoothness.
     pub fn peaks(&self) -> Vec<(usize, f64)> {
-        let half = self.values.len() / 2;
-        let mut peaks = Vec::new();
-        for lag in 2..half {
-            let v = self.values[lag];
-            let prev = self.values[lag - 1];
-            let next = self
-                .values
-                .get(lag + 1)
-                .copied()
-                .unwrap_or(f64::NEG_INFINITY);
-            if v > prev && v >= next {
-                peaks.push((lag, v));
-            }
-        }
+        let mut peaks: Vec<(usize, f64)> =
+            local_peaks(self.values.len(), |lag| self.values[lag]).collect();
         peaks.sort_by(|a, b| b.1.total_cmp(&a.1));
         peaks
     }
 
     /// The highest peak (per [`peaks`][Self::peaks]), if any.
     pub fn max_peak(&self) -> Option<(usize, f64)> {
-        self.peaks().into_iter().next()
+        max_local_peak(self.values.len(), |lag| self.values[lag])
     }
 
     /// The strongest local maximum within `±tolerance` lags of `lag`,
@@ -94,6 +69,26 @@ impl Autocorrelation {
             .map(|l| (l, self.values[l]))
             .max_by(|a, b| a.1.total_cmp(&b.1))
     }
+}
+
+/// The local maxima of `len` lags read through `value`, in lag order:
+/// lags `2 .. len/2` strictly above the previous lag and at least the next
+/// (which, below `len/2`, always exists).
+fn local_peaks(len: usize, value: impl Fn(usize) -> f64) -> impl Iterator<Item = (usize, f64)> {
+    (2..len / 2).filter_map(move |lag| {
+        let v = value(lag);
+        (v > value(lag - 1) && v >= value(lag + 1)).then_some((lag, v))
+    })
+}
+
+/// The highest of [`local_peaks`], in one scan that allocates nothing; a
+/// tie keeps the shorter lag, as [`Autocorrelation::peaks`]' stable sort
+/// does.
+pub(crate) fn max_local_peak(len: usize, value: impl Fn(usize) -> f64) -> Option<(usize, f64)> {
+    local_peaks(len, value).fold(None, |best, (lag, v)| match best {
+        Some((_, b)) if v.total_cmp(&b).is_le() => best,
+        _ => Some((lag, v)),
+    })
 }
 
 #[cfg(test)]

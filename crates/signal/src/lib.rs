@@ -9,11 +9,16 @@
 //! * [`fft`] — an iterative radix-2 Cooley–Tukey FFT over [`fft::Complex`]
 //!   (no external numeric dependency),
 //! * [`spectrum`] — periodograms and frequency/period conversion,
-//! * [`acf`] — circular autocorrelation via the Wiener–Khinchin theorem,
+//! * [`acf`] — linear autocorrelation via the Wiener–Khinchin theorem (the
+//!   series is zero-padded to 2n, so no lag wraps around),
 //! * [`periodicity`] — the paper's four-step detection algorithm with
 //!   permutation-derived significance thresholds (x = 100 by default) and a
 //!   1-second sampling grid, parallelized across permutations on the
 //!   `jcdn-exec` scatter–gather pool.
+//!
+//! Periodograms and autocorrelations share one kernel: each series (and
+//! each permutation of it) is transformed once, as a half-length complex
+//! FFT of the packed real samples, and both analyses read that spectrum.
 //!
 //! ## Example: recover a planted 30-second period
 //!
@@ -33,5 +38,6 @@
 
 pub mod acf;
 pub mod fft;
+mod kernel;
 pub mod periodicity;
 pub mod spectrum;

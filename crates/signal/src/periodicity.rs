@@ -38,8 +38,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::acf::Autocorrelation;
-use crate::spectrum::Periodogram;
+use crate::kernel::Kernel;
 
 /// Tuning knobs for [`detect_period`]. Defaults match the paper.
 #[derive(Clone, Debug)]
@@ -62,7 +61,9 @@ pub struct PeriodicityConfig {
     pub max_bins: usize,
     /// ACF lineup tolerance as a fraction of the candidate period.
     pub acf_lineup_tolerance: f64,
-    /// Run permutations on multiple threads.
+    /// Run permutations on multiple threads: as many as
+    /// `std::thread::available_parallelism` reports (one when it fails),
+    /// and only for at least 8 permutations.
     pub parallel: bool,
 }
 
@@ -110,8 +111,20 @@ impl DetectedPeriod {
 /// (seconds, any order), or `None` when no period survives the
 /// significance thresholds.
 pub fn detect_period(times: &[f64], cfg: &PeriodicityConfig) -> Option<DetectedPeriod> {
-    let (series, sampling) = bin_times(times, cfg)?;
-    detect_in_series(&series, sampling, cfg)
+    detect_period_counted(times, cfg).0
+}
+
+/// [`detect_period`], plus the number of permutations it ran:
+/// `cfg.permutations` once the times bin into a series, 0 when they are
+/// too few or span too few bins.
+pub fn detect_period_counted(
+    times: &[f64],
+    cfg: &PeriodicityConfig,
+) -> (Option<DetectedPeriod>, usize) {
+    match bin_times(times, cfg) {
+        Some((series, sampling)) => (detect_in_series(&series, sampling, cfg), cfg.permutations),
+        None => (None, 0),
+    }
 }
 
 /// Detects up to `max_periods` distinct periods — the multi-period
@@ -205,11 +218,16 @@ fn detect_in_series(
     cfg: &PeriodicityConfig,
 ) -> Option<DetectedPeriod> {
     let bins = series.len();
-    let periodogram = Periodogram::compute(series);
-    let acf = Autocorrelation::compute(series);
+    let kernel = Kernel::new(bins);
 
     // Null-model thresholds from permutations of the sampled series.
-    let (power_threshold, acf_threshold) = permutation_thresholds(series, cfg)?;
+    let (power_threshold, acf_threshold) = permutation_thresholds(series, &kernel, cfg)?;
+
+    let mut scratch = kernel.scratch();
+    kernel.spectrum(series, &mut scratch);
+    let periodogram = kernel.periodogram(&scratch);
+    kernel.autocovariance(&mut scratch);
+    let acf = kernel.autocorrelation(&scratch);
 
     // Step 4: line up FFT candidates with ACF peaks. Two directions:
     //
@@ -320,26 +338,14 @@ fn bin_events(sorted_times: &[f64], sampling: f64, bins: usize) -> Vec<f64> {
 }
 
 /// Runs the permutation null model and returns `(power, acf)` thresholds.
-fn permutation_thresholds(series: &[f64], cfg: &PeriodicityConfig) -> Option<(f64, f64)> {
+fn permutation_thresholds(
+    series: &[f64],
+    kernel: &Kernel,
+    cfg: &PeriodicityConfig,
+) -> Option<(f64, f64)> {
     if cfg.permutations == 0 || series.is_empty() {
         return None;
     }
-
-    let one = |i: usize| -> (f64, f64) {
-        // Per-permutation RNG derived from (seed, index) so results do not
-        // depend on thread scheduling.
-        let mut rng =
-            StdRng::seed_from_u64(splitmix64(cfg.seed ^ (i as u64).wrapping_mul(GOLDEN_GAMMA)));
-        let mut shuffled = series.to_vec();
-        shuffled.shuffle(&mut rng);
-        let max_power = Periodogram::compute(&shuffled)
-            .peak()
-            .map_or(0.0, |(_, p)| p);
-        let max_acf = Autocorrelation::compute(&shuffled)
-            .max_peak()
-            .map_or(0.0, |(_, v)| v);
-        (max_power, max_acf)
-    };
 
     let threads = if cfg.parallel && cfg.permutations >= 8 {
         std::thread::available_parallelism()
@@ -348,12 +354,34 @@ fn permutation_thresholds(series: &[f64], cfg: &PeriodicityConfig) -> Option<(f6
     } else {
         1
     };
-    // Per-permutation derived RNGs make the output independent of thread
-    // count, so the pool width is purely a throughput knob.
-    let results: Vec<(f64, f64)> = jcdn_exec::scatter_gather(cfg.permutations, threads, one);
+    // One contiguous range of permutations per worker: each range owns one
+    // set of buffers and every range reads the kernel's one twiddle table.
+    // Per-permutation RNGs derived from (seed, index) make the output
+    // independent of the split, so the pool width is purely a throughput
+    // knob.
+    let ranges = jcdn_exec::partition(cfg.permutations, threads);
+    let per_range: Vec<Vec<(f64, f64)>> = jcdn_exec::scatter_gather(ranges.len(), threads, |r| {
+        let mut scratch = kernel.scratch();
+        let mut shuffled = series.to_vec();
+        ranges[r]
+            .clone()
+            .map(|i| {
+                let mut rng = StdRng::seed_from_u64(splitmix64(
+                    cfg.seed ^ (i as u64).wrapping_mul(GOLDEN_GAMMA),
+                ));
+                shuffled.copy_from_slice(series);
+                shuffled.shuffle(&mut rng);
+                kernel.spectrum(&shuffled, &mut scratch);
+                let max_power = kernel.power_peak(&scratch);
+                kernel.autocovariance(&mut scratch);
+                (max_power, kernel.acf_peak(&scratch))
+            })
+            .collect()
+    });
 
-    let mut powers: Vec<f64> = results.iter().map(|&(p, _)| p).collect();
-    let mut acfs: Vec<f64> = results.iter().map(|&(_, a)| a).collect();
+    let results = per_range.iter().flatten();
+    let mut powers: Vec<f64> = results.clone().map(|&(p, _)| p).collect();
+    let mut acfs: Vec<f64> = results.map(|&(_, a)| a).collect();
     powers.sort_by(|a, b| b.total_cmp(a));
     acfs.sort_by(|a, b| b.total_cmp(a));
     let idx = (((1.0 - cfg.significance_quantile) * cfg.permutations as f64).floor() as usize)
@@ -567,6 +595,42 @@ mod tests {
         let times = periodic_times(30.0, 200, 0.0, 25);
         assert!(detect_periods(&times, &cfg(), 0).is_empty());
         assert!(detect_periods(&times, &cfg(), 1).len() <= 1);
+    }
+
+    #[test]
+    fn permutation_thresholds_match_the_pinned_values() {
+        // (power, acf) thresholds recorded from the three-transform kernel
+        // (a periodogram at N, a forward and an inverse FFT at 2N, twiddles
+        // by recurrence) that the one-spectrum kernel replaced.
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut t = 0.0;
+        let poisson: Vec<f64> = (0..120)
+            .map(|_| {
+                let u: f64 = 1.0 - rng.gen::<f64>();
+                t += -u.ln() * 60.0;
+                t
+            })
+            .collect();
+        let pinned = [
+            (
+                periodic_times(30.0, 120, 0.0, 1),
+                3571,
+                (0.31012114272115066, 0.07773477306796846),
+            ),
+            (
+                periodic_times(60.0, 120, 2.0, 7),
+                7140,
+                (0.17273741989068636, 0.06775599128540206),
+            ),
+            (poisson, 7569, (0.1670147511557013, 0.06758958171476326)),
+        ];
+        for (times, bins, (power, acf)) in pinned {
+            let (series, _) = bin_times(&times, &cfg()).expect("binnable");
+            assert_eq!(series.len(), bins);
+            let (p, a) = permutation_thresholds(&series, &Kernel::new(bins), &cfg()).unwrap();
+            assert!((p - power).abs() <= 1e-12 * power, "power {p} vs {power}");
+            assert!((a - acf).abs() <= 1e-12 * acf, "acf {a} vs {acf}");
+        }
     }
 
     #[test]

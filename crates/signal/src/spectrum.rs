@@ -1,6 +1,8 @@
 //! Periodograms.
 
-use crate::fft::{next_pow2, rfft};
+use std::ops::Range;
+
+use crate::kernel::Kernel;
 
 /// The one-sided periodogram of a real signal.
 ///
@@ -21,24 +23,10 @@ pub struct Periodogram {
 impl Periodogram {
     /// Computes the periodogram of `signal`.
     pub fn compute(signal: &[f64]) -> Periodogram {
-        let signal_len = signal.len();
-        let n = next_pow2(signal_len);
-        let mean = if signal_len > 0 {
-            signal.iter().sum::<f64>() / signal_len as f64
-        } else {
-            0.0
-        };
-        let centered: Vec<f64> = signal.iter().map(|&x| x - mean).collect();
-        let spectrum = rfft(&centered);
-        let power: Vec<f64> = spectrum[..=n / 2]
-            .iter()
-            .map(|c| c.norm_sq() / n as f64)
-            .collect();
-        Periodogram {
-            power,
-            n,
-            signal_len,
-        }
+        let kernel = Kernel::new(signal.len());
+        let mut scratch = kernel.scratch();
+        kernel.spectrum(signal, &mut scratch);
+        kernel.periodogram(&scratch)
     }
 
     /// The period (in samples) corresponding to frequency bin `k`.
@@ -66,8 +54,7 @@ impl Periodogram {
     /// most half the padded window) up to Nyquist — and its bin. Returns
     /// `None` when the signal is too short.
     pub fn peak(&self) -> Option<(usize, f64)> {
-        let lo = 2.min(self.power.len().saturating_sub(1)).max(1);
-        (lo..self.power.len())
+        peak_bins(self.power.len())
             .map(|k| (k, self.power[k]))
             .max_by(|a, b| a.1.total_cmp(&b.1))
     }
@@ -81,6 +68,12 @@ impl Periodogram {
         bins.sort_by(|&a, &b| self.power[b].total_cmp(&self.power[a]));
         bins
     }
+}
+
+/// The bins [`Periodogram::peak`] searches in a periodogram of `bins`
+/// bins: `k ≥ 2` where there are more than two, else bin 1.
+pub(crate) fn peak_bins(bins: usize) -> Range<usize> {
+    2.min(bins.saturating_sub(1)).max(1)..bins
 }
 
 #[cfg(test)]
